@@ -131,10 +131,10 @@ impl RnnRecommender {
                     let (r, h) = self.step_on_tape(
                         &tape,
                         self.mia.raw_features(ctx, t),
-                        self.graph_operator(&mia_out.adjacency),
+                        self.graph_operator(&mia_out.adjacency_csr.to_dense()),
                         h_prev,
                     );
-                    let blocking = tape.constant_rc(mia_out.blocking.clone());
+                    let blocking = tape.constant(mia_out.blocking_csr.to_dense());
                     let l = poshgnn_loss(
                         &tape,
                         r,
@@ -183,7 +183,7 @@ impl AfterRecommender for RnnRecommender {
         let (r, h) = self.step_on_tape(
             &tape,
             self.mia.raw_features_view(view),
-            self.graph_operator(&mia_out.adjacency),
+            self.graph_operator(&mia_out.adjacency_csr.to_dense()),
             h_prev,
         );
         self.state = Some(h.value());

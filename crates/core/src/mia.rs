@@ -10,7 +10,9 @@
 //!   `e¹ = (A_t − A_{t−1})·1` and `e² = (A_t² − A_{t−1}²)·1`;
 //! * hybrid-participation mask `m_t (N × 1)` pruning candidates physically
 //!   occluded by co-located MR participants;
-//! * the dense adjacency `A_t` of the static occlusion graph.
+//! * the adjacency `A_t` of the static occlusion graph, with its
+//!   row-normalized aggregation operator and the loss's blocking matrix,
+//!   all in sparse CSR form: O(N + m) per step, never an N×N matrix.
 //!
 //! Under a crowd-scale pruned engine (`AFTER_PRUNE_K > 0`), the contexts MIA
 //! consumes carry occlusion graphs restricted to each viewer's K-candidate
@@ -29,47 +31,45 @@ use crate::problem::TargetContext;
 /// Output of MIA for one time step.
 #[derive(Debug, Clone)]
 pub struct MiaOutput {
-    /// Scene features `x̂_t`, shape `N × 4`. All dense fields are `Rc`-shared
+    /// Scene features `x̂_t`, shape `N × 4`. All fields are `Rc`-shared
     /// so cached slabs flow into tapes via [`xr_tensor::Tape::constant_rc`]
-    /// (zero-copy) instead of being copied once per (step, epoch).
+    /// and [`xr_tensor::Tape::sparse_with_transpose`] (zero-copy) instead of
+    /// being copied once per (step, epoch).
     pub features: Rc<Matrix>,
     /// Structural difference embedding `Δ_t`, shape `N × 3`.
     pub delta: Rc<Matrix>,
     /// Candidate mask `m_t` as an `N × 1` 0/1 column.
     pub mask: Rc<Matrix>,
-    /// Dense occlusion adjacency `A_t`, shape `N × N`.
-    pub adjacency: Rc<Matrix>,
-    /// Row-normalized adjacency `D⁻¹A_t` used as the GNN aggregation
-    /// operator: mean aggregation keeps activations bounded on dense
-    /// occlusion graphs (sum aggregation saturates sigmoids at N = 200,
-    /// where occlusion degrees reach the hundreds). The raw `adjacency`
-    /// still feeds the loss's occlusion penalty.
-    pub adjacency_norm: Rc<Matrix>,
-    /// Depth-weighted blocking matrix `B_t` feeding the loss's occlusion
-    /// penalty `α·r_tᵀB_t r_t`: `B[w][u] = p̂_w` when `u` stands nearer than
-    /// `w` and their arcs overlap (recommending `u` hides `w`, forfeiting
-    /// `w`'s preference). This refines Def. 7's symmetric `A_t` — the
-    /// quadratic form is unchanged, but the penalty now estimates the
-    /// *utility actually lost* to occlusion instead of counting edges.
-    pub blocking: Rc<Matrix>,
     /// Preference utilities `p̂_t` (`N × 1`), target zeroed and masked by
     /// `m_t` — these feed the POSHGNN loss.
     pub p_hat: Rc<Matrix>,
     /// Distance-squared-normalized social-presence utilities `ŝ_t` (`N × 1`),
     /// masked by `m_t`.
     pub s_hat: Rc<Matrix>,
-    /// Sparse CSR view of `adjacency`. The dense fields above are derived
-    /// from these CSR forms (built directly from the occlusion graph's edge
-    /// list in O(N + m)) and are kept for the dense-kernel ablation path and
-    /// the RNN baselines; POSHGNN's hot path consumes only the CSR fields.
+    /// Occlusion adjacency `A_t` (`N × N`, 0/1, symmetric), built directly
+    /// from the occlusion graph's edge list in O(N + m). MIA stores only
+    /// sparse operators; the readers that want a dense form (the
+    /// dense-kernel ablation and the RNN baselines) densify per step with
+    /// [`CsrAdj::to_dense`].
     pub adjacency_csr: Rc<CsrAdj>,
-    /// Sparse CSR view of `adjacency_norm` (mean-aggregation operator).
+    /// Row-normalized adjacency `D⁻¹A_t` used as the GNN aggregation
+    /// operator: mean aggregation keeps activations bounded on dense
+    /// occlusion graphs (sum aggregation saturates sigmoids at N = 200,
+    /// where occlusion degrees reach the hundreds). The raw adjacency
+    /// still feeds the symmetric-penalty ablation.
     pub adjacency_norm_csr: Rc<CsrAdj>,
-    /// Sparse CSR view of `blocking` (loss occlusion penalty).
+    /// Depth-weighted blocking matrix `B_t` feeding the loss's occlusion
+    /// penalty `α·r_tᵀB_t r_t`: `B[w][u] = p̂_w` when `u` stands nearer than
+    /// `w` and their arcs overlap (recommending `u` hides `w`, forfeiting
+    /// `w`'s preference). This refines Def. 7's symmetric `A_t` — the
+    /// quadratic form is unchanged, but the penalty now estimates the
+    /// *utility actually lost* to occlusion instead of counting edges.
     pub blocking_csr: Rc<CsrAdj>,
-    /// Transpose of `adjacency_csr`, precomputed for the backward pass so
-    /// BPTT tapes allocate no per-episode transposes (they are shared via
-    /// [`xr_tensor::Tape::sparse_with_transpose`]).
+    /// Transpose of `adjacency_csr`, for the backward pass so BPTT tapes
+    /// allocate no per-episode transposes (they are shared via
+    /// [`xr_tensor::Tape::sparse_with_transpose`]). `A_t` is symmetric and
+    /// its CSR rows are column-sorted, so its transpose *is* itself: this
+    /// is the same allocation as `adjacency_csr`.
     pub adjacency_csr_t: Rc<CsrAdj>,
     /// Transpose of `adjacency_norm_csr` (see `adjacency_csr_t`).
     pub adjacency_norm_csr_t: Rc<CsrAdj>,
@@ -177,11 +177,9 @@ impl Mia {
             .collect();
         let blocking_csr = Rc::new(CsrAdj::from_entries(n, n, &blocking_entries));
 
-        let adjacency = Rc::new(adjacency_csr.to_dense());
-        let adjacency_norm = Rc::new(adjacency_norm_csr.to_dense());
-        let blocking = Rc::new(blocking_csr.to_dense());
-
-        let adjacency_csr_t = Rc::new(adjacency_csr.transpose());
+        // A_t is symmetric with sorted CSR rows, so its transpose is itself
+        debug_assert!(adjacency_csr.transpose() == *adjacency_csr, "occlusion adjacency is not symmetric");
+        let adjacency_csr_t = Rc::clone(&adjacency_csr);
         let adjacency_norm_csr_t = Rc::new(adjacency_norm_csr.transpose());
         let blocking_csr_t = Rc::new(blocking_csr.transpose());
 
@@ -189,9 +187,6 @@ impl Mia {
             features: Rc::new(features),
             delta: Rc::new(delta),
             mask: Rc::new(mask),
-            adjacency,
-            adjacency_norm,
-            blocking,
             p_hat: Rc::new(p_hat),
             s_hat: Rc::new(s_hat),
             adjacency_csr,
@@ -336,7 +331,7 @@ mod tests {
     use super::*;
     use crate::problem::TargetContext;
     use xr_crowd::Room;
-    use xr_datasets::{Interface, Scenario};
+    use xr_datasets::{Dataset, DatasetKind, Interface, Scenario, ScenarioConfig};
     use xr_graph::geom::Point2;
 
     fn scenario() -> Scenario {
@@ -368,7 +363,7 @@ mod tests {
         assert_eq!(out.features.shape(), (4, 4));
         assert_eq!(out.delta.shape(), (4, 3));
         assert_eq!(out.mask.shape(), (4, 1));
-        assert_eq!(out.adjacency.shape(), (4, 4));
+        assert_eq!(out.adjacency_csr.shape(), (4, 4));
         assert_eq!(out.p_hat.shape(), (4, 1));
         assert_eq!(out.s_hat.shape(), (4, 1));
     }
@@ -376,11 +371,11 @@ mod tests {
     #[test]
     fn adjacency_matches_occlusion_graph() {
         let c = ctx();
-        let out = Mia.compute(&c, 0);
-        assert_eq!(out.adjacency[(1, 2)], 1.0, "in-line users are adjacent");
-        assert_eq!(out.adjacency[(2, 1)], 1.0, "symmetric");
-        assert_eq!(out.adjacency[(1, 3)], 0.0);
-        assert_eq!(out.adjacency[(0, 1)], 0.0, "target is isolated");
+        let adjacency = Mia.compute(&c, 0).adjacency_csr.to_dense();
+        assert_eq!(adjacency[(1, 2)], 1.0, "in-line users are adjacent");
+        assert_eq!(adjacency[(2, 1)], 1.0, "symmetric");
+        assert_eq!(adjacency[(1, 3)], 0.0);
+        assert_eq!(adjacency[(0, 1)], 0.0, "target is isolated");
     }
 
     #[test]
@@ -444,22 +439,46 @@ mod tests {
         let mut s = scenario();
         s.interfaces[0] = Interface::Vr;
         let c = TargetContext::new(&s, 0, 0.5);
-        let out = Mia.compute(&c, 0);
+        let blocking = Mia.compute(&c, 0).blocking_csr.to_dense();
         // recommending 1 hides 2 → B[2][1] = p̂(2) = 0.9, not the reverse
-        assert!((out.blocking[(2, 1)] - 0.9).abs() < 1e-12);
-        assert_eq!(out.blocking[(1, 2)], 0.0);
+        assert!((blocking[(2, 1)] - 0.9).abs() < 1e-12);
+        assert_eq!(blocking[(1, 2)], 0.0);
         // non-overlapping pair carries no penalty
-        assert_eq!(out.blocking[(3, 1)], 0.0);
+        assert_eq!(blocking[(3, 1)], 0.0);
     }
 
     #[test]
-    fn csr_fields_match_dense_fields() {
+    fn csr_operators_match_dense_references() {
+        let c = ctx();
         for t in 0..2 {
-            let out = Mia.compute(&ctx(), t);
-            assert!(out.adjacency_csr.to_dense().approx_eq(&out.adjacency, 0.0));
-            assert!(out.adjacency_norm_csr.to_dense().approx_eq(&out.adjacency_norm, 1e-15));
-            assert!(out.blocking_csr.to_dense().approx_eq(&out.blocking, 0.0));
+            let out = Mia.compute(&c, t);
+            let adjacency = dense_adjacency(&c, t);
+            assert!(out.adjacency_csr.to_dense().approx_eq(&adjacency, 0.0));
+            assert!(out.adjacency_norm_csr.to_dense().approx_eq(&row_normalize(&adjacency), 1e-15));
         }
+    }
+
+    #[test]
+    fn symmetric_adjacency_is_its_own_transpose() {
+        // `adjacency_csr_t` shares `adjacency_csr`'s allocation; that is only
+        // sound while every occlusion graph is symmetric with column-sorted
+        // CSR rows, so a non-symmetric graph must fail here loudly
+        let dataset = Dataset::generate(DatasetKind::Timik, 5);
+        let cfg = ScenarioConfig { n_participants: 60, time_steps: 12, seed: 9, ..Default::default() };
+        let scenario = dataset.sample_scenario(&cfg);
+        let mut entries = 0;
+        for target in [0, 17, 42] {
+            let c = TargetContext::new(&scenario, target, 0.5);
+            for slab in [Mia.compute_episode_fresh(&c), Mia.compute_episode_delta(&c)] {
+                for (t, out) in slab.iter().enumerate() {
+                    assert_eq!(out.adjacency_csr.nnz(), 2 * c.occlusion[t].edge_count());
+                    entries += out.adjacency_csr.nnz();
+                    assert_eq!(out.adjacency_csr.transpose(), *out.adjacency_csr, "target {target}, t={t}");
+                    assert!(Rc::ptr_eq(&out.adjacency_csr, &out.adjacency_csr_t), "target {target}, t={t}");
+                }
+            }
+        }
+        assert!(entries > 0, "the scenario must produce occlusion edges");
     }
 
     #[test]
@@ -496,12 +515,21 @@ mod tests {
             let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&f.features), bits(&d.features), "t={t}: features");
             assert_eq!(bits(&f.delta), bits(&d.delta), "t={t}: delta embedding");
-            assert_eq!(bits(&f.adjacency), bits(&d.adjacency), "t={t}: adjacency");
-            assert_eq!(bits(&f.adjacency_norm), bits(&d.adjacency_norm), "t={t}: adjacency_norm");
-            assert_eq!(bits(&f.blocking), bits(&d.blocking), "t={t}: blocking");
-            assert_eq!(f.adjacency_csr, d.adjacency_csr, "t={t}: csr");
-            assert_eq!(f.adjacency_norm_csr, d.adjacency_norm_csr, "t={t}: norm csr");
-            assert_eq!(f.adjacency_csr_t, d.adjacency_csr_t, "t={t}: csr transpose");
+            let csr_bits = |m: &CsrAdj| {
+                let vals: Vec<u64> = m.vals().iter().map(|x| x.to_bits()).collect();
+                (m.row_ptr().to_vec(), m.col_idx().to_vec(), vals)
+            };
+            let operators = [
+                ("adjacency", &f.adjacency_csr, &d.adjacency_csr),
+                ("adjacency_norm", &f.adjacency_norm_csr, &d.adjacency_norm_csr),
+                ("blocking", &f.blocking_csr, &d.blocking_csr),
+                ("adjacency transpose", &f.adjacency_csr_t, &d.adjacency_csr_t),
+                ("adjacency_norm transpose", &f.adjacency_norm_csr_t, &d.adjacency_norm_csr_t),
+                ("blocking transpose", &f.blocking_csr_t, &d.blocking_csr_t),
+            ];
+            for (name, fresh_op, delta_op) in operators {
+                assert_eq!(csr_bits(fresh_op), csr_bits(delta_op), "t={t}: {name}");
+            }
         }
     }
 

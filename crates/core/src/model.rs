@@ -71,9 +71,10 @@ pub struct PoshGnnConfig {
     /// (`α·rᵀB_t r`). Kept for the loss-design ablation experiment.
     pub symmetric_penalty: bool,
     /// Run GNN aggregation and the loss penalty on dense N×N constants
-    /// instead of the CSR sparse kernels. The sparse path (default) is
-    /// mathematically identical — this flag exists for cross-checking and
-    /// for measuring the sparse speedup in benchmarks.
+    /// instead of the CSR sparse kernels. The constants are densified from
+    /// MIA's CSR operators per step (MIA stores no dense form). The sparse
+    /// path (default) is mathematically identical — this flag exists for
+    /// cross-checking and for measuring the sparse speedup in benchmarks.
     pub dense_kernels: bool,
     /// Recompute MIA at every (episode, step) instead of precomputing one
     /// shared slab per episode. MIA is parameter-free, so the cached path
@@ -272,7 +273,7 @@ impl PoshGnn {
         r_prev: Var<'t>,
     ) -> (Var<'t>, Var<'t>) {
         if self.config.dense_kernels {
-            let agg = tape.constant_rc(mia_out.adjacency_norm.clone());
+            let agg = tape.constant(mia_out.adjacency_norm_csr.to_dense());
             self.step_on_tape(tape, ctx, t, mia_out, agg, h_prev, r_prev)
         } else {
             let agg = tape.sparse_with_transpose(
@@ -324,9 +325,9 @@ impl PoshGnn {
             let (r_t, h_t) = self.step_dispatch(tape, ctx, t, &mia_out, h_prev, r_prev);
             let l = if self.config.dense_kernels {
                 let penalty = if self.config.symmetric_penalty {
-                    tape.constant_rc(mia_out.adjacency.clone())
+                    tape.constant(mia_out.adjacency_csr.to_dense())
                 } else {
-                    tape.constant_rc(mia_out.blocking.clone())
+                    tape.constant(mia_out.blocking_csr.to_dense())
                 };
                 poshgnn_loss(tape, r_t, r_prev, &mia_out.p_hat, &mia_out.s_hat, penalty, self.config.loss)
             } else {
