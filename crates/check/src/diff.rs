@@ -588,11 +588,14 @@ fn describe_posh_case(case: &PoshCase) -> String {
     )
 }
 
+/// Samples the scenario of a [`PoshCase`].
+fn posh_scenario(case: &PoshCase) -> xr_datasets::Scenario {
+    Dataset::generate(DatasetKind::Hubs, case.dataset_seed).sample_scenario(&case.scenario)
+}
+
 /// Materializes the episode context of a [`PoshCase`].
 fn posh_context(case: &PoshCase) -> poshgnn::TargetContext {
-    let dataset = Dataset::generate(DatasetKind::Hubs, case.dataset_seed);
-    let scenario = dataset.sample_scenario(&case.scenario);
-    poshgnn::TargetContext::new(&scenario, case.target, 0.5)
+    poshgnn::TargetContext::new(&posh_scenario(case), case.target, 0.5)
 }
 
 impl DiffSubject for SparseVsDensePoshGnn {
@@ -752,7 +755,7 @@ impl DiffSubject for CachedVsFreshMia {
         use xr_tensor::Tape;
 
         let ctx = posh_context(case);
-        let cfg = PoshGnnConfig { fresh_mia: false, fresh_tape: false, ..Default::default() };
+        let cfg = PoshGnnConfig::default();
 
         let mut fresh = PoshGnn::new(cfg);
         let tape_f = Tape::new();
@@ -822,7 +825,7 @@ impl DiffSubject for PooledVsFreshTape {
         use xr_tensor::{Matrix, Tape};
 
         let ctx = posh_context(case);
-        let cfg = PoshGnnConfig { fresh_mia: false, fresh_tape: false, ..Default::default() };
+        let cfg = PoshGnnConfig::default();
         let passes = 2;
 
         // (loss, gradients) per pass; `pooled` reuses one reset arena tape.
@@ -831,13 +834,13 @@ impl DiffSubject for PooledVsFreshTape {
             let arena = Tape::new();
             (0..passes)
                 .map(|_| {
-                    let fresh_tape;
+                    let new_tape;
                     let tape = if pooled {
                         arena.reset();
                         &arena
                     } else {
-                        fresh_tape = Tape::new();
-                        &fresh_tape
+                        new_tape = Tape::new();
+                        &new_tape
                     };
                     let loss = model.episode_loss(tape, &ctx);
                     let l = loss.scalar();
@@ -879,13 +882,14 @@ impl DiffSubject for PooledVsFreshTape {
 }
 
 // ---------------------------------------------------------------------------
-// Session pair: streaming scene engine vs. legacy precompute (bit-identical).
+// Session pair: streaming scene engine vs. per-target precompute (bit-identical).
 // ---------------------------------------------------------------------------
 
 /// The same episode context built twice: once through the streaming
-/// [`xr_session::SceneEngine`] (`AFTER_STREAMING=1`, the default — shared
-/// per-tick scene state, sweep-built occlusion graphs) and once through the
-/// legacy per-target precompute (`AFTER_STREAMING=0`). Every stored field —
+/// [`xr_session::SceneEngine`] (production's [`poshgnn::TargetContext::new`]
+/// — shared per-tick scene state, sweep-built occlusion graphs) and once
+/// through the per-target precompute
+/// [`crate::reference::precomputed_context`]. Every stored field —
 /// occlusion graphs including adjacency order, distance rows, candidate
 /// masks — must match bit for bit, and so must the decision stream of an
 /// identically seeded untrained POSHGNN driven over both contexts.
@@ -905,34 +909,34 @@ impl DiffSubject for StreamingVsPrecomputed {
     fn compare(&self, case: &PoshCase) -> Option<StepDivergence> {
         use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView};
 
-        let streaming = crate::golden::with_streaming(true, || posh_context(case));
-        let legacy = crate::golden::with_streaming(false, || posh_context(case));
+        let streaming = posh_context(case);
+        let precomputed = crate::reference::precomputed_context(&posh_scenario(case), case.target, 0.5);
 
-        for t in 0..=legacy.t_max() {
-            if streaming.occlusion[t] != legacy.occlusion[t] {
+        for t in 0..=precomputed.t_max() {
+            if streaming.occlusion[t] != precomputed.occlusion[t] {
                 return Some(StepDivergence {
                     step: t,
                     detail: format!(
-                        "occlusion graph at t={t}: streaming {:?} vs legacy {:?}",
-                        streaming.occlusion[t], legacy.occlusion[t]
+                        "occlusion graph at t={t}: streaming {:?} vs precomputed {:?}",
+                        streaming.occlusion[t], precomputed.occlusion[t]
                     ),
                 });
             }
-            for w in 0..legacy.n {
-                let (s, l) = (streaming.distances[t][w], legacy.distances[t][w]);
+            for w in 0..precomputed.n {
+                let (s, l) = (streaming.distances[t][w], precomputed.distances[t][w]);
                 if s.to_bits() != l.to_bits() {
                     return Some(StepDivergence {
                         step: t,
-                        detail: format!("distance[{w}] at t={t}: streaming {s:?} vs legacy {l:?}"),
+                        detail: format!("distance[{w}] at t={t}: streaming {s:?} vs precomputed {l:?}"),
                     });
                 }
             }
-            if streaming.candidate_mask[t] != legacy.candidate_mask[t] {
+            if streaming.candidate_mask[t] != precomputed.candidate_mask[t] {
                 return Some(StepDivergence {
                     step: t,
                     detail: format!(
-                        "candidate mask at t={t}: streaming {:?} vs legacy {:?}",
-                        streaming.candidate_mask[t], legacy.candidate_mask[t]
+                        "candidate mask at t={t}: streaming {:?} vs precomputed {:?}",
+                        streaming.candidate_mask[t], precomputed.candidate_mask[t]
                     ),
                 });
             }
@@ -941,17 +945,17 @@ impl DiffSubject for StreamingVsPrecomputed {
         // end-to-end: an identically seeded model must emit the same soft
         // stream over both contexts
         let mut ms = PoshGnn::new(PoshGnnConfig::default());
-        let mut ml = PoshGnn::new(PoshGnnConfig::default());
+        let mut mp = PoshGnn::new(PoshGnnConfig::default());
         ms.begin_episode(&StepView::new(&streaming, 0));
-        ml.begin_episode(&StepView::new(&legacy, 0));
-        for t in 0..=legacy.t_max() {
+        mp.begin_episode(&StepView::new(&precomputed, 0));
+        for t in 0..=precomputed.t_max() {
             let rs = ms.soft_recommend(&streaming, t);
-            let rl = ml.soft_recommend(&legacy, t);
+            let rl = mp.soft_recommend(&precomputed, t);
             for (w, (s, l)) in rs.iter().zip(&rl).enumerate() {
                 if s.to_bits() != l.to_bits() {
                     return Some(StepDivergence {
                         step: t,
-                        detail: format!("r_{t}[{w}]: streaming {s:?} vs legacy {l:?}"),
+                        detail: format!("r_{t}[{w}]: streaming {s:?} vs precomputed {l:?}"),
                     });
                 }
             }

@@ -232,47 +232,20 @@ pub fn assert_matches_golden_at(dir: &std::path::Path, name: &str, snapshot: &st
     }
 }
 
-/// One process-wide lock for every `with_*` env helper: tests mutating
-/// different variables must still serialize against each other.
-fn env_lock() -> &'static Mutex<()> {
-    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    ENV_LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Runs `f` with the env var `key` forced to `value`, restoring the previous
-/// state afterwards, under the process-wide env lock.
-fn with_env_var<R>(key: &str, value: &str, f: impl FnOnce() -> R) -> R {
-    let _guard = env_lock().lock().expect("env lock poisoned");
-    let previous = std::env::var(key).ok();
-    std::env::set_var(key, value);
-    let result = f();
-    match previous {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    }
-    result
-}
-
 /// Runs `f` with `AFTER_THREADS` forced to `n`, restoring the previous value
 /// afterwards. Serialized process-wide so concurrent tests cannot interleave
 /// env mutations.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    with_env_var("AFTER_THREADS", &n.to_string(), f)
-}
-
-/// Runs `f` with `AFTER_STREAMING` forced on (`1`, scene-engine path) or off
-/// (`0`, legacy per-target precompute), restoring the previous value
-/// afterwards. Shares the env lock with [`with_threads`].
-pub fn with_streaming<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    with_env_var("AFTER_STREAMING", if on { "1" } else { "0" }, f)
-}
-
-/// Runs `f` with `AFTER_INCREMENTAL` forced on (`1`, O(Δ) scene maintenance
-/// and MIA edge-deltas, the default) or off (`0`, the from-scratch oracle),
-/// restoring the previous value afterwards. Shares the env lock with
-/// [`with_threads`].
-pub fn with_incremental<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    with_env_var("AFTER_INCREMENTAL", if on { "1" } else { "0" }, f)
+    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let _guard = ENV_LOCK.get_or_init(|| Mutex::new(())).lock().expect("env lock poisoned");
+    let previous = std::env::var("AFTER_THREADS").ok();
+    std::env::set_var("AFTER_THREADS", n.to_string());
+    let result = f();
+    match previous {
+        Some(v) => std::env::set_var("AFTER_THREADS", v),
+        None => std::env::remove_var("AFTER_THREADS"),
+    }
+    result
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! # xr_check — the correctness harness
 //!
 //! Reusable verification tooling for the AFTER/POSHGNN workspace, built on
-//! three pillars:
+//! four pillars:
 //!
 //! * [`diff`] — a **differential oracle runner**: any pair of supposedly
 //!   equivalent implementations (dense vs. CSR SpMM, naive vs. blocked
@@ -16,6 +16,9 @@
 //!   API: arbitrary multi-parameter losses ([`gradcheck::check_params`]) and
 //!   the full POSHGNN episode loss walked per parameter block
 //!   ([`gradcheck::check_poshgnn`]).
+//! * [`reference`] — **brute-force references** the optimized production
+//!   paths are diffed against (e.g. the per-target context precompute the
+//!   shared scene engine replaces).
 //! * [`golden`] — a **golden replay suite**: a seeded end-to-end run
 //!   (dataset → ORCA trajectories → training → recommendation → evaluation →
 //!   parallel table) serialized to a deterministic snapshot, compared
@@ -30,6 +33,7 @@ pub mod diff;
 pub mod golden;
 pub mod gradcheck;
 pub mod metrics;
+pub mod reference;
 
 use std::path::PathBuf;
 

@@ -6,8 +6,9 @@
 //! This file pins that property with a counting `#[global_allocator]`
 //! (integration tests are separate binaries, so the allocator is scoped to
 //! this file): per-epoch allocations after epoch 1 on the cached path must
-//! be at least 10× lower than on the pre-cache baseline path
-//! (`fresh_mia + fresh_tape`, the code path prior to this overhaul). It
+//! be at least 10× lower than on the pre-cache baseline path (MIA
+//! recomputed per step on a fresh tape per episode,
+//! `train_episode(&Tape::new(), ctx, None)`). It
 //! also pins that an MIA slab stores only sparse operators: the bytes it
 //! retains per tick stay below one dense N×N matrix.
 //!
@@ -20,6 +21,7 @@ use std::rc::Rc;
 
 use poshgnn::{Mia, MiaOutput, PoshGnn, PoshGnnConfig, TargetContext};
 use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
+use xr_tensor::Tape;
 
 struct CountingAllocator;
 
@@ -89,18 +91,35 @@ fn episode_ctx() -> TargetContext {
     TargetContext::new(&scenario, 0, 0.5)
 }
 
+/// The pre-cache training baseline: `epochs` passes of uncached
+/// [`PoshGnn::train_episode`] calls, MIA recomputed per step on a fresh tape
+/// per episode. Returns the per-epoch mean loss, like [`PoshGnn::train`].
+fn train_baseline(model: &mut PoshGnn, contexts: &[TargetContext], epochs: usize) -> Vec<f64> {
+    (0..epochs)
+        .map(|_| {
+            let mut loss = 0.0;
+            for ctx in contexts {
+                loss += model.train_episode(&Tape::new(), ctx, None);
+            }
+            loss / contexts.len() as f64
+        })
+        .collect()
+}
+
+type Trainer = fn(&mut PoshGnn, &[TargetContext], usize) -> Vec<f64>;
+
 /// Allocations of one steady-state epoch: train fresh identically seeded
 /// models for 1 and 3 epochs and difference the counts, so construction,
 /// slab precompute, and pool warm-up (all epoch-1 costs) cancel out.
-fn per_epoch_after_first(config: PoshGnnConfig, ctx: &TargetContext) -> u64 {
+fn per_epoch_after_first(train: Trainer, ctx: &TargetContext) -> u64 {
     let contexts = std::slice::from_ref(ctx);
-    let mut one = PoshGnn::new(config);
-    let mut three = PoshGnn::new(config);
+    let mut one = PoshGnn::new(PoshGnnConfig::default());
+    let mut three = PoshGnn::new(PoshGnnConfig::default());
     let a1 = allocations_during(|| {
-        one.train(contexts, 1);
+        train(&mut one, contexts, 1);
     });
     let a3 = allocations_during(|| {
-        three.train(contexts, 3);
+        train(&mut three, contexts, 3);
     });
     (a3 - a1) / 2
 }
@@ -108,11 +127,8 @@ fn per_epoch_after_first(config: PoshGnnConfig, ctx: &TargetContext) -> u64 {
 #[test]
 fn cached_training_epochs_allocate_10x_less_than_baseline() {
     let ctx = episode_ctx();
-    let baseline_cfg = PoshGnnConfig { fresh_mia: true, fresh_tape: true, ..Default::default() };
-    let cached_cfg = PoshGnnConfig { fresh_mia: false, fresh_tape: false, ..Default::default() };
-
-    let baseline = per_epoch_after_first(baseline_cfg, &ctx);
-    let cached = per_epoch_after_first(cached_cfg, &ctx);
+    let baseline = per_epoch_after_first(train_baseline, &ctx);
+    let cached = per_epoch_after_first(PoshGnn::train, &ctx);
 
     eprintln!("per-epoch allocations after epoch 1: baseline {baseline}, cached {cached}");
     assert!(baseline > 0, "baseline epoch made no allocations — instrumentation broken?");
@@ -125,16 +141,12 @@ fn cached_training_epochs_allocate_10x_less_than_baseline() {
 
 #[test]
 fn losses_match_between_baseline_and_cached_paths() {
-    // The two configurations must descend the same trajectory: the cache and
-    // arena are pure performance changes (bit-identical per DESIGN.md §7).
+    // The two paths must descend the same trajectory: the cache and arena
+    // are pure performance changes (bit-identical per DESIGN.md §7).
     let ctx = episode_ctx();
     let contexts = std::slice::from_ref(&ctx);
-    let mut baseline =
-        PoshGnn::new(PoshGnnConfig { fresh_mia: true, fresh_tape: true, ..Default::default() });
-    let mut cached =
-        PoshGnn::new(PoshGnnConfig { fresh_mia: false, fresh_tape: false, ..Default::default() });
-    let hb = baseline.train(contexts, 4);
-    let hc = cached.train(contexts, 4);
+    let hb = train_baseline(&mut PoshGnn::new(PoshGnnConfig::default()), contexts, 4);
+    let hc = PoshGnn::new(PoshGnnConfig::default()).train(contexts, 4);
     for (epoch, (b, c)) in hb.iter().zip(&hc).enumerate() {
         assert_eq!(b.to_bits(), c.to_bits(), "epoch {epoch} loss: baseline {b:?} vs cached {c:?}");
     }
@@ -151,11 +163,8 @@ fn mia_slabs_retain_less_than_one_dense_matrix_per_tick() {
     let ctx = TargetContext::new(&scenario, 0, 0.5);
     let dense_bytes = (8 * USERS * USERS) as i64;
     type Episode = fn(&Mia, &TargetContext) -> Vec<Rc<MiaOutput>>;
-    let paths: [(&str, Episode); 3] = [
-        ("compute_episode", Mia::compute_episode),
-        ("compute_episode_fresh", Mia::compute_episode_fresh),
-        ("compute_episode_delta", Mia::compute_episode_delta),
-    ];
+    let paths: [(&str, Episode); 2] =
+        [("compute_episode", Mia::compute_episode), ("compute_episode_fresh", Mia::compute_episode_fresh)];
     for (name, episode) in paths {
         let (slab, retained) = retained_bytes_during(|| episode(&Mia, &ctx));
         let per_tick = retained / slab.len() as i64;

@@ -2,9 +2,7 @@
 //! recommend → evaluate) snapshotted byte-for-byte against a checked-in
 //! golden file. Regenerate with `UPDATE_GOLDEN=1 cargo test -p xr_check`.
 
-use xr_check::golden::{
-    assert_matches_golden, replay, with_incremental, with_streaming, with_threads, ReplayConfig,
-};
+use xr_check::golden::{assert_matches_golden, replay, with_threads, ReplayConfig};
 
 #[test]
 fn small_replay_matches_the_checked_in_golden_file() {
@@ -17,26 +15,4 @@ fn replay_is_byte_identical_across_thread_counts() {
     let serial = with_threads(1, || replay(&ReplayConfig::small()));
     let parallel = with_threads(8, || replay(&ReplayConfig::small()));
     assert_eq!(serial, parallel, "replay diverges between AFTER_THREADS=1 and AFTER_THREADS=8");
-}
-
-#[test]
-fn replay_is_byte_identical_across_streaming_modes() {
-    // The golden file is recorded under the default (streaming) context
-    // builder; the legacy per-target precompute must reproduce it exactly.
-    let streaming = with_streaming(true, || replay(&ReplayConfig::small()));
-    let legacy = with_streaming(false, || replay(&ReplayConfig::small()));
-    assert_eq!(streaming, legacy, "replay diverges between AFTER_STREAMING=1 and AFTER_STREAMING=0");
-}
-
-#[test]
-fn replay_is_byte_identical_across_incremental_modes() {
-    // The golden file was recorded before incremental maintenance existed
-    // and must stay untouched: the O(Δ) path (delta distance rows, warm
-    // sweep candidates, MIA edge-deltas — the default) and the from-scratch
-    // oracle must reproduce it byte for byte.
-    let incremental = with_incremental(true, || replay(&ReplayConfig::small()));
-    let scratch = with_incremental(false, || replay(&ReplayConfig::small()));
-    assert_eq!(incremental, scratch, "replay diverges between AFTER_INCREMENTAL=1 and AFTER_INCREMENTAL=0");
-    assert_matches_golden("replay_small.txt", &incremental);
-    assert_matches_golden("replay_small.txt", &scratch);
 }

@@ -76,16 +76,6 @@ pub struct PoshGnnConfig {
     /// path (default) is mathematically identical — this flag exists for
     /// cross-checking and for measuring the sparse speedup in benchmarks.
     pub dense_kernels: bool,
-    /// Recompute MIA at every (episode, step) instead of precomputing one
-    /// shared slab per episode. MIA is parameter-free, so the cached path
-    /// (default) is bit-identical; this escape hatch exists for the
-    /// differential oracle and A/B benchmarks. Defaults to the
-    /// `AFTER_FRESH_MIA=1` environment variable.
-    pub fresh_mia: bool,
-    /// Build a fresh `Tape` per episode instead of resetting one pooled
-    /// arena tape. Same bit-identical contract and purpose as `fresh_mia`.
-    /// Defaults to the `AFTER_FRESH_TAPE=1` environment variable.
-    pub fresh_tape: bool,
     /// Serve inference on the f32 SIMD path ([`crate::serve`]): weights are
     /// down-converted once, and each recommend step derives the scene, MIA,
     /// and forward pass entirely in f32. Training is unaffected — it always
@@ -114,8 +104,6 @@ impl Default for PoshGnnConfig {
             variant: PoshVariant::Full,
             symmetric_penalty: false,
             dense_kernels: false,
-            fresh_mia: std::env::var("AFTER_FRESH_MIA").map(|v| v == "1").unwrap_or(false),
-            fresh_tape: std::env::var("AFTER_FRESH_TAPE").map(|v| v == "1").unwrap_or(false),
             serve_f32: std::env::var("AFTER_SERVE_F32").map(|v| v == "1").unwrap_or(false),
             drift_sample: std::env::var("AFTER_DRIFT_SAMPLE")
                 .ok()
@@ -353,46 +341,50 @@ impl PoshGnn {
     /// Trains on the given target contexts for `epochs` passes, returning
     /// the mean per-step loss after each epoch. One BPTT tape spans each
     /// episode, so gradients flow through the preservation gate across time.
+    /// MIA depends only on the contexts, so each episode's slab is computed
+    /// once here instead of `epochs ×` times inside the loop, and one arena
+    /// tape is reset per episode instead of reallocated.
     pub fn train(&mut self, contexts: &[TargetContext], epochs: usize) -> Vec<f64> {
         let _span = xr_obs::span!("poshgnn.train", epochs = epochs, episodes = contexts.len());
-        // MIA depends only on the contexts, so the cached path pays its cost
-        // once here instead of `epochs ×` times inside the loop.
-        let slabs: Option<Vec<Vec<Rc<MiaOutput>>>> = (!self.config.fresh_mia)
-            .then(|| contexts.iter().map(|ctx| self.mia.compute_episode(ctx)).collect());
+        let slabs: Vec<Vec<Rc<MiaOutput>>> =
+            contexts.iter().map(|ctx| self.mia.compute_episode(ctx)).collect();
         let arena = Tape::new();
         let mut history = Vec::with_capacity(epochs);
         for epoch in 0..epochs {
             let _epoch_span = xr_obs::span!("poshgnn.train.epoch", epoch = epoch);
             let mut epoch_loss = 0.0;
-            let mut steps = 0usize;
-            for (i, ctx) in contexts.iter().enumerate() {
-                let episode_timer = xr_obs::start_timer();
-                let fresh;
-                let tape = if self.config.fresh_tape {
-                    fresh = Tape::new();
-                    &fresh
-                } else {
-                    arena.reset();
-                    &arena
-                };
-                let loss = match &slabs {
-                    Some(s) => self.episode_loss_cached(tape, ctx, &s[i]),
-                    None => self.episode_loss(tape, ctx),
-                };
-                epoch_loss += loss.scalar();
-                steps += 1;
-                loss.backward(&mut self.store);
-                let grad_norm = self.store.clip_grad_norm(self.config.grad_clip);
-                xr_obs::observe("poshgnn.train.grad_norm", &[], grad_norm);
-                self.optimizer.step(&mut self.store);
-                xr_obs::observe_since("poshgnn.train.episode.ms", &[], episode_timer);
+            for (ctx, slab) in contexts.iter().zip(&slabs) {
+                epoch_loss += self.train_episode(&arena, ctx, Some(slab));
             }
-            let mean_loss = epoch_loss / steps.max(1) as f64;
+            let mean_loss = epoch_loss / contexts.len().max(1) as f64;
             xr_obs::gauge_set("poshgnn.train.loss", &[], mean_loss);
             history.push(mean_loss);
         }
-        self.invalidate_serve_net("train"); // weights changed
         history
+    }
+
+    /// One optimizer step on one episode: resets `tape`, builds the episode
+    /// loss on it, backpropagates, clips, and applies Adam. Returns the
+    /// episode's loss. `slab` is the episode's precomputed MIA
+    /// ([`Mia::compute_episode`]); `None` recomputes MIA at every step. Both
+    /// choices — and a pooled vs. a fresh tape — are bit-identical, so
+    /// `train_episode(&Tape::new(), ctx, None)` is the uncached baseline
+    /// [`PoshGnn::train`] is measured and differentially checked against.
+    pub fn train_episode(&mut self, tape: &Tape, ctx: &TargetContext, slab: Option<&[Rc<MiaOutput>]>) -> f64 {
+        let episode_timer = xr_obs::start_timer();
+        tape.reset();
+        let loss = match slab {
+            Some(slab) => self.episode_loss_cached(tape, ctx, slab),
+            None => self.episode_loss(tape, ctx),
+        };
+        let value = loss.scalar();
+        loss.backward(&mut self.store);
+        let grad_norm = self.store.clip_grad_norm(self.config.grad_clip);
+        xr_obs::observe("poshgnn.train.grad_norm", &[], grad_norm);
+        self.optimizer.step(&mut self.store);
+        self.invalidate_serve_net("train"); // weights changed
+        xr_obs::observe_since("poshgnn.train.episode.ms", &[], episode_timer);
+        value
     }
 
     /// The soft recommendation `r_t` for one step during inference,
@@ -422,8 +414,8 @@ impl PoshGnn {
         };
         // Serve `t` from the episode cache, computing the entry on first
         // use (the cache is armed empty by `begin_episode` — growing it
-        // lazily keeps inference causal). Fresh-MIA mode and direct calls
-        // outside an episode compute without caching.
+        // lazily keeps inference causal). Direct calls outside an episode
+        // compute without caching.
         let mia_out: Rc<MiaOutput> = match &mut self.episode_mia {
             Some(cache) => {
                 if cache.len() <= t {
@@ -545,7 +537,7 @@ impl AfterRecommender for PoshGnn {
         self.serve_episode = None;
         // arm the cache empty: entries appear as ticks are served, so the
         // model never computes MIA ahead of the step it is recommending
-        self.episode_mia = (!self.config.fresh_mia).then(Vec::new);
+        self.episode_mia = Some(Vec::new());
         // decide drift sampling per episode: a mid-episode toggle would
         // desynchronize the f64 shadow's recurrent state
         self.drift_shadow = self.config.serve_f32

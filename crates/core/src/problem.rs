@@ -5,13 +5,13 @@
 //! participant, the hybrid-participation candidate mask `m_t`, and the
 //! target's utility rows `p(v,·)` / `s(v,·)`.
 //!
-//! Since the streaming refactor, `TargetContext` is a thin *compat wrapper*
-//! over the [`xr_session::SceneEngine`]: by default construction pumps the
-//! scenario's frames through the engine once and copies out this target's
-//! slice of the shared per-tick state. The field layout and every numeric
-//! value are byte-identical to the legacy per-target precompute, which is
-//! still available behind `AFTER_STREAMING=0` and pinned against the engine
-//! path by an `xr_check` differential subject.
+//! `TargetContext` is a thin *compat wrapper* over the
+//! [`xr_session::SceneEngine`]: construction pumps the scenario's frames
+//! through the engine once and copies out this target's slice of the shared
+//! per-tick state. The field layout and every numeric value are
+//! byte-identical to a per-target brute-force precompute, which lives in
+//! `xr_check::reference` and is pinned against the engine path by a
+//! differential subject there.
 
 use xr_datasets::{Interface, Scenario};
 use xr_graph::geom::Point2;
@@ -42,7 +42,7 @@ pub struct TargetContext {
     /// Per-tick candidate shortlists (`shortlists[t]` = the target's
     /// K-nearest member ids, ascending) when the backing engine ran in
     /// crowd-scale pruned mode (`AFTER_PRUNE_K > 0`); `None` on the full-N
-    /// and legacy paths. When present, `occlusion[t]` / `candidate_mask[t]`
+    /// path. When present, `occlusion[t]` / `candidate_mask[t]`
     /// are the densified restriction to these members — users outside the
     /// shortlist are not candidates, per the candidate-set contract.
     pub shortlists: Option<Vec<Vec<usize>>>,
@@ -85,14 +85,10 @@ impl TargetContext {
         let n = scenario.n();
         assert!(blocked.iter().all(|&b| b < n), "blocklist entry out of range");
 
-        if xr_session::streaming_enabled() {
-            let mut engine = SceneEngine::for_scenario(scenario, &[target]);
-            engine.push_scenario(scenario);
-            let mut built = Self::from_engine(scenario, engine, &[(target, beta)], blocked);
-            built.pop().expect("one request yields one context")
-        } else {
-            Self::precomputed(scenario, target, beta, blocked)
-        }
+        let mut engine = SceneEngine::for_scenario(scenario, &[target]);
+        engine.push_scenario(scenario);
+        let mut built = Self::from_engine(scenario, engine, &[(target, beta)], blocked);
+        built.pop().expect("one request yields one context")
     }
 
     /// Builds the contexts of several `(target, beta)` requests over one
@@ -101,7 +97,7 @@ impl TargetContext {
     /// once per tick for the whole scene, instead of once per target.
     ///
     /// Numerically identical to mapping [`TargetContext::new`] over the
-    /// requests; under `AFTER_STREAMING=0` it literally is that map.
+    /// requests.
     ///
     /// # Panics
     ///
@@ -110,12 +106,6 @@ impl TargetContext {
         for &(target, beta) in requests {
             assert!(target < scenario.n(), "target {target} out of range");
             assert!((0.0..=1.0).contains(&beta), "beta must be in [0,1]");
-        }
-        if !xr_session::streaming_enabled() {
-            return requests
-                .iter()
-                .map(|&(target, beta)| Self::precomputed(scenario, target, beta, &[]))
-                .collect();
         }
         let viewers: Vec<usize> = requests.iter().map(|&(target, _)| target).collect();
         let mut engine = SceneEngine::for_scenario(scenario, &viewers);
@@ -234,50 +224,6 @@ impl TargetContext {
         contexts
     }
 
-    /// The legacy per-target precompute path (`AFTER_STREAMING=0`): redoes
-    /// the full O(N²) pairwise visibility work for this one target at every
-    /// tick. Kept as the differential oracle for the engine path.
-    fn precomputed(scenario: &Scenario, target: usize, beta: f64, blocked: &[usize]) -> Self {
-        let n = scenario.n();
-        let converter = OcclusionConverter::new(scenario.body_radius);
-        let mr_mask = scenario.mr_mask();
-        let target_is_mr = scenario.interfaces[target] == Interface::Mr;
-
-        let frames = scenario.trajectories.len();
-        let mut occlusion = Vec::with_capacity(frames);
-        let mut distances = Vec::with_capacity(frames);
-        let mut candidate_mask = Vec::with_capacity(frames);
-
-        for positions in &scenario.trajectories {
-            occlusion.push(converter.static_graph(target, positions));
-            distances.push((0..n).map(|w| positions[target].distance(positions[w])).collect::<Vec<f64>>());
-            let mut mask = physical_candidate_mask(&converter, target, target_is_mr, positions, &mr_mask);
-            for &b in blocked {
-                mask[b] = false;
-            }
-            candidate_mask.push(mask);
-        }
-
-        let room_diagonal = (scenario.room.width().powi(2) + scenario.room.height().powi(2)).sqrt();
-
-        TargetContext {
-            target,
-            n,
-            beta,
-            target_is_mr,
-            occlusion,
-            distances,
-            candidate_mask,
-            shortlists: None,
-            preference: scenario.preference[target].clone(),
-            social: scenario.social[target].clone(),
-            mr_mask,
-            positions: scenario.trajectories.clone(),
-            converter,
-            room_diagonal,
-        }
-    }
-
     /// Number of recommendation steps `T` (time indices run `0..=T`).
     pub fn t_max(&self) -> usize {
         self.positions.len() - 1
@@ -306,48 +252,6 @@ impl TargetContext {
         let displayed = self.displayed(recommendation);
         self.converter.visibility(self.target, &self.positions[t], &displayed)
     }
-}
-
-/// Candidate mask `m_t` (MIA, hybrid participation): for an MR target,
-/// rendering `w` is ineffective when a *physically present* co-located MR
-/// participant other than `w` stands nearer in an overlapping arc — the
-/// physical body will cover the rendering. VR targets see a fully virtual
-/// scene, so every candidate stays available.
-fn physical_candidate_mask(
-    converter: &OcclusionConverter,
-    target: usize,
-    target_is_mr: bool,
-    positions: &[Point2],
-    mr_mask: &[bool],
-) -> Vec<bool> {
-    let n = positions.len();
-    let mut mask = vec![true; n];
-    mask[target] = false; // the target never recommends herself
-    if !target_is_mr {
-        return mask;
-    }
-    let arcs = converter.arcs(target, positions);
-    for w in 0..n {
-        if w == target {
-            continue;
-        }
-        let Some(aw) = arcs[w] else {
-            mask[w] = false;
-            continue;
-        };
-        for u in 0..n {
-            if u == w || u == target || !mr_mask[u] {
-                continue;
-            }
-            if let Some(au) = arcs[u] {
-                if au.distance < aw.distance && au.intersects(&aw) {
-                    mask[w] = false;
-                    break;
-                }
-            }
-        }
-    }
-    mask
 }
 
 #[cfg(test)]

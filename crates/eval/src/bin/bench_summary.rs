@@ -5,15 +5,17 @@
 //! scene-engine context builds, the f64-train / f32-serve recommend split,
 //! incremental O(Δ) scene maintenance vs. from-scratch across coherence
 //! levels, crowd-scale K-candidate pruned serving vs. dense full-N on
-//! stadium frames, and the cost of running with observability installed vs.
-//! without.
+//! stadium frames, exact vs. greedy MWIS solve times, and the cost of
+//! running with observability installed vs. without.
 //!
 //! Writes one JSON summary (default `BENCH_pr10.json` at the workspace root,
 //! next to `Cargo.toml`; override with `--out=PATH`) via the `xr_obs` JSON
 //! exporter and prints it to stdout. All "before" numbers are the
-//! pre-overhaul code paths, which are kept callable behind flags
+//! pre-overhaul code paths, which stay callable as flags or caller choices
 //! (`matmul_naive`, `dense_kernels`, `use_spatial_grid: false`,
-//! `AFTER_THREADS=1`, `fresh_mia`/`fresh_tape`, `serve_f32: false`), so the
+//! `AFTER_THREADS=1`, `train_episode` with a fresh `Tape` and/or no MIA
+//! slab, the per-target `static_graph` / `physical_candidate_mask`
+//! precompute, `set_incremental(false)`, `serve_f32: false`), so the
 //! comparison runs both sides in one build. Historical `BENCH_pr*.json`
 //! files stay committed as published; this binary only writes the current
 //! summary. Compare two summaries with the `bench_compare` binary.
@@ -25,7 +27,7 @@
 
 use std::time::Instant;
 
-use poshgnn::{PoshGnn, PoshGnnConfig};
+use poshgnn::{Mia, PoshGnn, PoshGnnConfig, TargetContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xr_crowd::{Agent, CrowdSimulator, Room, SimConfig};
@@ -33,8 +35,9 @@ use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
 use xr_eval::report::results_dir;
 use xr_eval::runner::{build_contexts, pick_targets, run_comparison, run_method, ComparisonConfig};
 use xr_graph::geom::Point2;
+use xr_graph::{local_search_improve, mwis_exact, mwis_greedy, DiskGig, OcclusionConverter};
 use xr_obs::json::{num3, Json};
-use xr_tensor::{CsrAdj, Matrix};
+use xr_tensor::{CsrAdj, Matrix, Tape};
 
 /// Median wall-clock milliseconds of `f` over `reps` runs (after one warmup).
 fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -202,26 +205,55 @@ fn bench_recommend_serve() -> Json {
     Json::obj().set("simd", xr_tensor::simd_enabled()).set("sizes", Json::from(rows))
 }
 
-/// Steady-state per-epoch training wall time for two configurations: train
+/// A training loop under benchmark: `epochs` passes over the contexts.
+type TrainArm = fn(&mut PoshGnn, &[TargetContext], usize);
+
+/// [`PoshGnn::train`]: one MIA slab per episode and one reset arena tape.
+fn train_cached(model: &mut PoshGnn, ctxs: &[TargetContext], epochs: usize) {
+    std::hint::black_box(model.train(ctxs, epochs));
+}
+
+/// The uncached baseline: MIA recomputed at every step, a fresh tape per
+/// episode.
+fn train_uncached(model: &mut PoshGnn, ctxs: &[TargetContext], epochs: usize) {
+    for _ in 0..epochs {
+        for ctx in ctxs {
+            std::hint::black_box(model.train_episode(&Tape::new(), ctx, None));
+        }
+    }
+}
+
+/// MIA slabs cached like [`PoshGnn::train`], but a fresh tape per episode:
+/// isolates the tape arena.
+fn train_unpooled_tape(model: &mut PoshGnn, ctxs: &[TargetContext], epochs: usize) {
+    let slabs: Vec<_> = ctxs.iter().map(|ctx| Mia.compute_episode(ctx)).collect();
+    for _ in 0..epochs {
+        for (ctx, slab) in ctxs.iter().zip(&slabs) {
+            std::hint::black_box(model.train_episode(&Tape::new(), ctx, Some(slab)));
+        }
+    }
+}
+
+/// Steady-state per-epoch training wall time for two training loops: train
 /// identically seeded models for 1 and 4 epochs and difference, so model
 /// construction, the MIA slab precompute, and pool warm-up (one-time costs)
-/// cancel out. The two configurations' samples are interleaved (one of each
-/// per round) so background-load drift on a shared machine hits both arms
+/// cancel out. The two loops' samples are interleaved (one of each per
+/// round) so background-load drift on a shared machine hits both arms
 /// equally instead of skewing whichever happened to run second, and each
 /// arm reports its median over 5 samples after a discarded warmup run.
 /// Returns the per-epoch medians in argument order.
-fn per_epoch_ms_paired(a: PoshGnnConfig, b: PoshGnnConfig, ctxs: &[poshgnn::TargetContext]) -> (f64, f64) {
-    let run = |cfg: PoshGnnConfig, epochs: usize| {
-        let mut model = PoshGnn::new(cfg);
+fn per_epoch_ms_paired(a: TrainArm, b: TrainArm, ctxs: &[TargetContext]) -> (f64, f64) {
+    let run = |arm: TrainArm, epochs: usize| {
+        let mut model = PoshGnn::new(PoshGnnConfig::default());
         let start = Instant::now();
-        std::hint::black_box(model.train(ctxs, epochs));
+        arm(&mut model, ctxs, epochs);
         start.elapsed().as_secs_f64() * 1e3
     };
     run(a, 1); // warm the allocator and page in the dataset
     run(b, 1);
-    let sample = |cfg: PoshGnnConfig| {
-        let t1 = run(cfg, 1);
-        let t4 = run(cfg, 4);
+    let sample = |arm: TrainArm| {
+        let t1 = run(arm, 1);
+        let t4 = run(arm, 4);
         ((t4 - t1) / 3.0).max(0.0)
     };
     let mut sa = Vec::new();
@@ -237,7 +269,7 @@ fn per_epoch_ms_paired(a: PoshGnnConfig, b: PoshGnnConfig, ctxs: &[poshgnn::Targ
     (median(sa), median(sb))
 }
 
-fn episode_contexts(n: usize, seed: u64) -> Vec<poshgnn::TargetContext> {
+fn episode_contexts(n: usize, seed: u64) -> Vec<TargetContext> {
     let dataset = Dataset::generate(DatasetKind::Timik, 4);
     let scenario_cfg =
         ScenarioConfig { n_participants: n, time_steps: 30, seed, ..ScenarioConfig::default() };
@@ -251,11 +283,7 @@ fn bench_train_epoch() -> Json {
         .iter()
         .map(|&n| {
             let ctxs = episode_contexts(n, 13);
-            let (uncached, cached) = per_epoch_ms_paired(
-                PoshGnnConfig { fresh_mia: true, fresh_tape: true, ..Default::default() },
-                PoshGnnConfig { fresh_mia: false, fresh_tape: false, ..Default::default() },
-                &ctxs,
-            );
+            let (uncached, cached) = per_epoch_ms_paired(train_uncached, train_cached, &ctxs);
             Json::obj()
                 .set("n", n)
                 .set("time_steps", 30u64)
@@ -270,17 +298,13 @@ fn bench_train_epoch() -> Json {
 fn bench_tape_reuse() -> Json {
     // MIA cache on for both sides: only the tape strategy differs.
     let ctxs = episode_contexts(100, 17);
-    let (fresh, pooled) = per_epoch_ms_paired(
-        PoshGnnConfig { fresh_mia: false, fresh_tape: true, ..Default::default() },
-        PoshGnnConfig { fresh_mia: false, fresh_tape: false, ..Default::default() },
-        &ctxs,
-    );
+    let (unpooled, pooled) = per_epoch_ms_paired(train_unpooled_tape, train_cached, &ctxs);
     Json::obj()
         .set("n", 100u64)
         .set("time_steps", 30u64)
-        .set("fresh_tape_ms_per_epoch", num3(fresh))
+        .set("unpooled_tape_ms_per_epoch", num3(unpooled))
         .set("pooled_tape_ms_per_epoch", num3(pooled))
-        .set("speedup", num3(fresh / pooled))
+        .set("speedup", num3(unpooled / pooled))
 }
 
 fn bench_matmul_dispatch() -> Json {
@@ -335,8 +359,9 @@ fn bench_matmul_dispatch() -> Json {
 fn bench_scene_build() -> Json {
     // Context construction for every participant in the room: the shared
     // scene engine builds distances / occlusion / masks once per tick and
-    // serves all targets from that state (O(N²·T)), while the legacy path
-    // recomputes them per target (O(N³·T)).
+    // serves all targets from that state (O(N²·T)), while a per-target
+    // precompute redoes the brute-force occlusion graph, distance row, and
+    // candidate-mask arc scan for every target at every tick (O(N³·T)).
     let dataset = Dataset::generate(DatasetKind::Timik, 6);
     let sizes = [100usize, 200];
     let rows: Vec<Json> = sizes
@@ -346,16 +371,27 @@ fn bench_scene_build() -> Json {
                 ScenarioConfig { n_participants: n, time_steps: 20, seed: 21, ..ScenarioConfig::default() };
             let scenario = dataset.sample_scenario(&scenario_cfg);
             let requests: Vec<(usize, f64)> = (0..n).map(|v| (v, 0.5)).collect();
-            let run = |streaming: bool| {
-                std::env::set_var("AFTER_STREAMING", if streaming { "1" } else { "0" });
-                let ms = time_ms(3, || {
-                    std::hint::black_box(poshgnn::TargetContext::batch(&scenario, &requests));
-                });
-                std::env::remove_var("AFTER_STREAMING");
-                ms
-            };
-            let precompute = run(false);
-            let engine = run(true);
+            let converter = OcclusionConverter::new(scenario.body_radius);
+            let mr_mask = scenario.mr_mask();
+            let precompute = time_ms(3, || {
+                for &(target, _) in &requests {
+                    for positions in &scenario.trajectories {
+                        std::hint::black_box(converter.static_graph(target, positions));
+                        std::hint::black_box(
+                            (0..n).map(|w| positions[target].distance(positions[w])).collect::<Vec<f64>>(),
+                        );
+                        std::hint::black_box(converter.physical_candidate_mask(
+                            target,
+                            mr_mask[target],
+                            positions,
+                            &mr_mask,
+                        ));
+                    }
+                }
+            });
+            let engine = time_ms(3, || {
+                std::hint::black_box(TargetContext::batch(&scenario, &requests));
+            });
             Json::obj()
                 .set("n", n)
                 .set("time_steps", 20u64)
@@ -773,6 +809,35 @@ fn bench_crowd_scale() -> Json {
     Json::from(rows)
 }
 
+/// MWIS solver cost on random unit-disk intersection graphs — the concrete
+/// face of the NP-hardness result: exact branch-and-bound time explodes
+/// with instance size while greedy + local search stays polynomial. Times
+/// only (µs per solve): the two arms solve different problems (optimal vs.
+/// approximate), so their ratio is not a speedup.
+fn bench_mwis() -> Json {
+    let rows: Vec<Json> = [16usize, 24, 32]
+        .iter()
+        .map(|&n| {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let gig = DiskGig::random_unit_disks(n, (n as f64).sqrt() * 1.6, 1.0, &mut rng);
+            let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 / 7.0).collect();
+            let exact_ms = time_ms(5, || {
+                std::hint::black_box(mwis_exact(&gig.graph, &weights));
+            });
+            let greedy_ls_ms = time_ms(9, || {
+                let greedy = mwis_greedy(&gig.graph, &weights);
+                std::hint::black_box(local_search_improve(&gig.graph, &weights, &greedy));
+            });
+            Json::obj()
+                .set("n", n)
+                .set("edges", gig.graph.edge_count())
+                .set("exact_us", num3(exact_ms * 1e3))
+                .set("greedy_ls_us", num3(greedy_ls_ms * 1e3))
+        })
+        .collect();
+    Json::from(rows)
+}
+
 /// Output path for the summary: `--out=PATH` (or `--out PATH`) on the
 /// command line, default `BENCH_pr10.json` at the workspace root.
 fn out_path() -> std::path::PathBuf {
@@ -794,34 +859,36 @@ fn out_path() -> std::path::PathBuf {
 fn main() {
     let mut obs = xr_obs::init_cli_env();
     let path = out_path();
-    eprintln!("[1/14] blocked vs naive matmul");
+    eprintln!("[1/15] blocked vs naive matmul");
     let matmul = bench_matmul();
-    eprintln!("[2/14] sparse vs dense aggregation (SpMM)");
+    eprintln!("[2/15] sparse vs dense aggregation (SpMM)");
     let spmm = bench_spmm();
-    eprintln!("[3/14] grid vs brute-force crowd neighbors");
+    eprintln!("[3/15] grid vs brute-force crowd neighbors");
     let crowd = bench_crowd();
-    eprintln!("[4/14] POSHGNN recommend step, sparse vs dense kernels");
+    eprintln!("[4/15] POSHGNN recommend step, sparse vs dense kernels");
     let posh = bench_poshgnn_step();
-    eprintln!("[5/14] comparison runner, 1 thread vs all cores");
+    eprintln!("[5/15] comparison runner, 1 thread vs all cores");
     let runner = bench_parallel_runner();
-    eprintln!("[6/14] train epoch, MIA cache + tape arena vs uncached");
+    eprintln!("[6/15] train epoch, MIA cache + tape arena vs uncached");
     let train_epoch = bench_train_epoch();
-    eprintln!("[7/14] tape arena reuse vs fresh tape per episode");
+    eprintln!("[7/15] tape arena reuse vs fresh tape per episode");
     let tape_reuse = bench_tape_reuse();
-    eprintln!("[8/14] adaptive matmul dispatch crossover");
+    eprintln!("[8/15] adaptive matmul dispatch crossover");
     let dispatch = bench_matmul_dispatch();
-    eprintln!("[9/14] scene build, shared engine vs per-target precompute");
+    eprintln!("[9/15] scene build, shared engine vs per-target precompute");
     let scene_build = bench_scene_build();
-    eprintln!("[10/14] recommend step, f64 inference vs f32 serving");
+    eprintln!("[10/15] recommend step, f64 inference vs f32 serving");
     let recommend_serve = bench_recommend_serve();
-    eprintln!("[11/14] observability overhead, installed ctx vs none");
+    eprintln!("[11/15] observability overhead, installed ctx vs none");
     let obs_overhead = bench_obs_overhead();
-    eprintln!("[12/14] multi-room serving: 1k rooms on the worker pool");
+    eprintln!("[12/15] multi-room serving: 1k rooms on the worker pool");
     let multi_room = bench_multi_room();
-    eprintln!("[13/14] incremental scene maintenance vs from-scratch, coherence sweep");
+    eprintln!("[13/15] incremental scene maintenance vs from-scratch, coherence sweep");
     let incremental_scene = bench_incremental_scene();
-    eprintln!("[14/14] crowd-scale serving: K-candidate pruned vs dense full-N");
+    eprintln!("[14/15] crowd-scale serving: K-candidate pruned vs dense full-N");
     let crowd_scale = bench_crowd_scale();
+    eprintln!("[15/15] MWIS: exact branch-and-bound vs greedy + local search");
+    let mwis = bench_mwis();
 
     // force SIMD detection so the fact lands in the run metadata
     let _ = xr_tensor::simd_enabled();
@@ -840,6 +907,7 @@ fn main() {
         .set("multi_room", multi_room)
         .set("incremental_scene", incremental_scene)
         .set("crowd_scale", crowd_scale)
+        .set("mwis", mwis)
         .set("meta", xr_obs::meta::run_metadata());
     let text = summary.pretty();
     println!("{text}");

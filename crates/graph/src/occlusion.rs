@@ -95,6 +95,50 @@ impl OcclusionConverter {
         g
     }
 
+    /// The hybrid-participation candidate mask `m_t` (MIA) by a direct arc
+    /// scan: for an MR target, rendering `w` is ineffective when a
+    /// *physically present* co-located MR participant other than `w` stands
+    /// nearer in an overlapping arc — the physical body will cover the
+    /// rendering. Coincident users (no arc) are never candidates. VR targets
+    /// see a fully virtual scene, so every candidate but the target stays
+    /// available.
+    pub fn physical_candidate_mask(
+        &self,
+        target: usize,
+        target_is_mr: bool,
+        positions: &[Point2],
+        mr_mask: &[bool],
+    ) -> Vec<bool> {
+        let n = positions.len();
+        let mut mask = vec![true; n];
+        mask[target] = false; // the target never recommends herself
+        if !target_is_mr {
+            return mask;
+        }
+        let arcs = self.arcs(target, positions);
+        for w in 0..n {
+            if w == target {
+                continue;
+            }
+            let Some(aw) = arcs[w] else {
+                mask[w] = false;
+                continue;
+            };
+            for u in 0..n {
+                if u == w || u == target || !mr_mask[u] {
+                    continue;
+                }
+                if let Some(au) = arcs[u] {
+                    if au.distance < aw.distance && au.intersects(&aw) {
+                        mask[w] = false;
+                        break;
+                    }
+                }
+            }
+        }
+        mask
+    }
+
     /// Visibility of each user given a display decision.
     ///
     /// `displayed[w]` says entity `w` appears on the target's viewport

@@ -13,7 +13,7 @@
 //! * Distances: `d(i,j)` is measured once per unordered pair with
 //!   [`Point2::distance`] and mirrored. `(p_i − p_j)` and `(p_j − p_i)` are
 //!   exact IEEE negations, so squares, sum, and square root agree bit for
-//!   bit with the legacy per-target row `positions[v].distance(positions[w])`.
+//!   bit with the per-target row `positions[v].distance(positions[w])`.
 //! * Occlusion: per-viewer arcs come from the same
 //!   [`OcclusionConverter::arcs`] call as the brute-force build; the angular
 //!   sweep only *prunes pairs that cannot intersect* (forward gap beyond
@@ -22,8 +22,8 @@
 //!   are inserted in sorted `(min, max)` order — the same order the `i < j`
 //!   brute-force loop produces — so the resulting [`UGraph`]s compare equal
 //!   including adjacency-list order.
-//! * Candidate masks re-derive the legacy `physical_candidate_mask`
-//!   semantics from the shared state: a candidate `w` of an MR viewer is
+//! * Candidate masks re-derive the arc-scan
+//!   [`OcclusionConverter::physical_candidate_mask`] semantics from the shared state: a candidate `w` of an MR viewer is
 //!   pruned iff it has no arc (coincident, `d < 1e-9`) or some co-located MR
 //!   participant's arc overlaps `w`'s while standing strictly nearer — and
 //!   "overlaps" is exactly occlusion-graph adjacency, so no arc intersection
@@ -31,10 +31,11 @@
 //!
 //! ## Incremental O(Δ) maintenance
 //!
-//! By default the engine maintains the shared state *incrementally* across
-//! ticks (`AFTER_INCREMENTAL=0` restores the from-scratch build as the
+//! The engine maintains the shared state *incrementally* across ticks. The
+//! from-scratch build stays as the first tick's path, as the low-coherence
+//! fallback, and — via [`SceneEngine::set_incremental`]`(false)` — as the
 //! differential oracle; both paths are pinned bitwise-identical by the
-//! `xr_check` `IncrementalVsFromScratch` subject):
+//! `xr_check` `IncrementalVsFromScratch` subject:
 //!
 //! * Frames are first *snapped*: a user whose raw position moved at most
 //!   [`SceneEngine::snap_epsilon`] from the previous effective position
@@ -466,7 +467,7 @@ pub struct SceneEngine {
     /// Per-tick deadline tracking, when `AFTER_SLO_BUDGET_MS` (or
     /// [`SceneEngine::set_slo`]) configured a budget.
     slo: Option<xr_obs::SloTracker>,
-    /// `false` pins the from-scratch oracle path (`AFTER_INCREMENTAL=0`).
+    /// `false` pins the from-scratch oracle path ([`SceneEngine::set_incremental`]).
     incremental: bool,
     /// Snap radius for the shared ingest semantics (`AFTER_SNAP_EPS`).
     snap_epsilon: f64,
@@ -514,7 +515,7 @@ impl SceneEngine {
             base: 0,
             retain: None,
             slo: xr_obs::SloTracker::from_env("session.tick"),
-            incremental: crate::incremental_enabled(),
+            incremental: true,
             snap_epsilon: snap_epsilon_from_env(),
             prune_k: crate::prune_k_from_env(),
             nearest_buf: Vec::new(),
@@ -599,9 +600,9 @@ impl SceneEngine {
         self.slo.as_ref()
     }
 
-    /// Forces the maintenance path, overriding the `AFTER_INCREMENTAL`
-    /// default: `true` maintains state incrementally across ticks, `false`
-    /// rebuilds every tick from scratch (the differential oracle). Safe to
+    /// Forces the maintenance path: `true` (the default) maintains state
+    /// incrementally across ticks, `false` rebuilds every tick from scratch
+    /// (the differential oracle). Safe to
     /// toggle mid-session — switching invalidates the warm caches, so the
     /// next push rebuilds (and, when incremental, re-warms) from scratch.
     pub fn set_incremental(&mut self, on: bool) {
@@ -1425,7 +1426,7 @@ fn snap_epsilon_from_env() -> f64 {
 }
 
 /// Candidate mask `m_t` for one viewer, derived from the shared state: the
-/// legacy semantics (a physically present MR participant standing strictly
+/// arc-scan semantics (a physically present MR participant standing strictly
 /// nearer in an overlapping arc prunes the candidate) with "overlapping arc"
 /// read off the occlusion graph instead of re-tested.
 fn candidate_mask_from_shared(
@@ -1611,7 +1612,7 @@ mod tests {
 
     #[test]
     fn candidate_mask_matches_arc_level_definition() {
-        // re-derive the mask the legacy way (arc scan) and compare
+        // the arc-scan definition the shared-state derivation must reproduce
         let n = 20;
         let conv = OcclusionConverter::new(0.3);
         let mr_mask: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
@@ -1619,30 +1620,7 @@ mod tests {
             let positions = random_positions(n, 4.0, 100 + seed);
             for viewer in 0..n {
                 let arcs = conv.arcs(viewer, &positions);
-                let mut expected = vec![true; n];
-                expected[viewer] = false;
-                if mr_mask[viewer] {
-                    for w in 0..n {
-                        if w == viewer {
-                            continue;
-                        }
-                        let Some(aw) = arcs[w] else {
-                            expected[w] = false;
-                            continue;
-                        };
-                        for u in 0..n {
-                            if u == w || u == viewer || !mr_mask[u] {
-                                continue;
-                            }
-                            if let Some(au) = arcs[u] {
-                                if au.distance < aw.distance && au.intersects(&aw) {
-                                    expected[w] = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
+                let expected = conv.physical_candidate_mask(viewer, mr_mask[viewer], &positions, &mr_mask);
                 let mut tests = 0;
                 let graph = sweep_occlusion_graph(&arcs, &mut tests);
                 let distances: Vec<f64> = (0..n).map(|w| positions[viewer].distance(positions[w])).collect();

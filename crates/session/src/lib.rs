@@ -34,26 +34,6 @@ pub use serve32::{
     shortlist_f32, ViewArcF32,
 };
 
-/// Whether context construction should be backed by the streaming
-/// [`SceneEngine`] (the default) or the legacy per-target precompute path.
-/// Controlled by `AFTER_STREAMING` (`0` selects the legacy path); both paths
-/// are pinned bit-identical by the `xr_check` differential subject and the
-/// golden-replay CI matrix.
-pub fn streaming_enabled() -> bool {
-    std::env::var("AFTER_STREAMING").map(|v| v != "0").unwrap_or(true)
-}
-
-/// Whether scene state is maintained *incrementally* across ticks (the
-/// default): delta distance rows for moved users, warm center-sorted sweep
-/// candidates per viewer, and MIA edge-deltas downstream. Controlled by
-/// `AFTER_INCREMENTAL` (`0` selects the from-scratch rebuild, kept as the
-/// differential oracle); both paths are pinned bit-identical by the
-/// `xr_check` `IncrementalVsFromScratch` subject and the golden-replay CI
-/// matrix. [`SceneEngine::set_incremental`] overrides per engine.
-pub fn incremental_enabled() -> bool {
-    std::env::var("AFTER_INCREMENTAL").map(|v| v != "0").unwrap_or(true)
-}
-
 /// The crowd-scale shortlist size from `AFTER_PRUNE_K`: `K > 0` makes every
 /// [`SceneEngine`] build per-viewer K-candidate shortlists (see
 /// [`prune::CandidateSet`]) instead of dense full-scene state; `0` — the

@@ -10,6 +10,7 @@ use after_xr::xr_baselines::{
 };
 use after_xr::xr_datasets::{Dataset, DatasetKind, Scenario, ScenarioConfig};
 use after_xr::xr_eval::RenderAllRecommender;
+use after_xr::xr_session::SceneEngine;
 
 fn scenario() -> Scenario {
     let dataset = Dataset::generate(DatasetKind::Hubs, 2);
@@ -169,19 +170,27 @@ fn vr_targets_see_everyone_and_still_never_themselves() {
 
 #[test]
 fn decisions_never_depend_on_future_frames() {
-    assert_no_lookahead();
+    assert_no_lookahead(|scenario| TargetContext::new(scenario, 0, 0.5));
 }
 
 #[test]
 fn decisions_never_depend_on_future_frames_under_either_maintenance_mode() {
     // Incremental O(Δ) scene maintenance carries warm per-viewer caches
     // across ticks; the no-lookahead contract must survive both the warm
-    // path and the from-scratch oracle.
-    xr_check::golden::with_incremental(true, assert_no_lookahead);
-    xr_check::golden::with_incremental(false, assert_no_lookahead);
+    // path (the default engine) and the from-scratch oracle.
+    assert_no_lookahead(|scenario| context_from_engine(scenario, true));
+    assert_no_lookahead(|scenario| context_from_engine(scenario, false));
 }
 
-fn assert_no_lookahead() {
+/// Target 0's context built through an explicitly configured engine.
+fn context_from_engine(scenario: &Scenario, incremental: bool) -> TargetContext {
+    let mut engine = SceneEngine::for_scenario(scenario, &[0]);
+    engine.set_incremental(incremental);
+    engine.push_scenario(scenario);
+    TargetContext::with_engine(scenario, engine, &[(0, 0.5)]).pop().expect("one request")
+}
+
+fn assert_no_lookahead(build: impl Fn(&Scenario) -> TargetContext) {
     // The stepwise contract: a view at tick t exposes only ticks 0..=t, so
     // rewriting the world strictly after t_cut must leave every decision at
     // or before t_cut untouched — for every method in the workspace.
@@ -198,8 +207,8 @@ fn assert_no_lookahead() {
     }
     assert_ne!(original.trajectories, perturbed.trajectories, "perturbation was a no-op");
 
-    let ctx_a = TargetContext::new(&original, 0, 0.5);
-    let ctx_b = TargetContext::new(&perturbed, 0, 0.5);
+    let ctx_a = build(&original);
+    let ctx_b = build(&perturbed);
     // Both instance sets are fitted on the *original* scenario — offline
     // training data is not the stepwise input under test here.
     let twins = all_recommenders(&original).into_iter().zip(all_recommenders(&original));
